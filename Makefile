@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: all ci build vet test race race-cache race-explore bench bench-json bench-smoke bench-guard experiments examples fuzz cover clean serve-smoke cluster-smoke trace-smoke trace-cluster-smoke audit-smoke sim-diff converge-smoke warm-smoke
+.PHONY: all ci build vet test race race-cache race-explore bench bench-json bench-smoke bench-guard experiments experiments-check examples fuzz cover clean serve-smoke cluster-smoke trace-smoke trace-cluster-smoke audit-smoke sim-diff converge-smoke warm-smoke
 
 all: build vet test
 
 # Everything the CI workflow runs.
-ci: build vet test race race-explore bench-smoke bench-guard serve-smoke cluster-smoke trace-smoke trace-cluster-smoke audit-smoke sim-diff converge-smoke warm-smoke
+ci: build vet test race race-explore bench-smoke bench-guard experiments-check serve-smoke cluster-smoke trace-smoke trace-cluster-smoke audit-smoke sim-diff converge-smoke warm-smoke
 
 build:
 	$(GO) build ./...
@@ -77,6 +77,13 @@ bench-guard:
 # Regenerate every paper table/figure at full budget.
 experiments:
 	$(GO) run ./cmd/experiments -run all -budget 400 -pareto 600 -seed 1 -out experiments_full.txt
+
+# Regenerate the paper transcript into a temp file and fail unless it
+# is byte-identical to the committed experiments_full.txt.
+experiments-check:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+		$(GO) run ./cmd/experiments -run all -budget 400 -pareto 600 -seed 1 -out "$$tmp" >/dev/null && \
+		cmp "$$tmp" experiments_full.txt
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -69,7 +69,7 @@ func main() {
 		warmMB       = flag.Int("warm-cache-mb", 0, "process-lifetime warm-start tier bound in MiB (0 = off); near-duplicate jobs reuse plan ladders instead of rebuilding them; never changes results")
 		jobTimeout   = flag.Duration("job-timeout", 0, "per-job search deadline (0 = none)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain bound")
-		traceEvents  = flag.Int("trace-events", 0, "per-job span ring-buffer capacity (0 = default)")
+		traceEvents  = flag.Int("trace-events", 0, "per-job span ring-buffer bound; rings grow on demand up to it (0 = default)")
 		logLevel     = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
 		showVersion  = flag.Bool("version", false, "print version and exit")
 

@@ -209,9 +209,11 @@ type Result struct {
 	Objective string
 	Baseline  string
 
-	// CacheHits / CacheMisses count the search's plan-cache traffic;
-	// WarmHits is the subset of misses served by the process-lifetime
-	// warm tier (SearchConfig.Warm) instead of a fresh ladder build.
+	// CacheHits / CacheMisses count the search's plan-cache traffic,
+	// with CacheMisses the distinct hardware fingerprints looked up
+	// (single-flight waiters count as hits); WarmHits is the subset of
+	// misses served by the process-lifetime warm tier (SearchConfig.Warm)
+	// instead of a fresh ladder build.
 	// Informational only — like Workers they never affect the design.
 	CacheHits   int64 `json:",omitempty"`
 	CacheMisses int64 `json:",omitempty"`

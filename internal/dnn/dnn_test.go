@@ -1,6 +1,7 @@
 package dnn
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -203,6 +204,30 @@ func TestAllCatalogWorkloadsValidate(t *testing.T) {
 func TestByNameUnknown(t *testing.T) {
 	if _, err := ByName("nope"); err == nil || !strings.Contains(err.Error(), "unknown workload") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestByNameMatchesCatalog pins the name-dispatched lookup to the full
+// catalog: Names() keeps the catalog order, and every name builds a
+// workload deep-equal to the same entry of the complete list.
+func TestByNameMatchesCatalog(t *testing.T) {
+	all := append(ExistingAuT(), FutureAuT()...)
+	all = append(all, MNISTCNN(), CNNb(), CNNs(), FCNet(), MobileNetVWW())
+	names := Names()
+	if len(names) != len(all) {
+		t.Fatalf("Names() has %d entries, catalog has %d", len(names), len(all))
+	}
+	for i, want := range all {
+		if names[i] != want.Name {
+			t.Errorf("Names()[%d] = %q, want %q", i, names[i], want.Name)
+		}
+		got, err := ByName(want.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("ByName(%q) differs from the catalog entry", want.Name)
+		}
 	}
 }
 

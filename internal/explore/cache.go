@@ -228,8 +228,7 @@ func (pc *planCache) get(sc Scenario, cand Candidate, worker int) (*ladderSet, e
 	fp := fingerprintOf(sc, cand)
 	slot := &pc.last[worker&(lastSlots-1)].p
 	if le := slot.Load(); le != nil && le.fp == fp {
-		pc.hits.Add(1)
-		globalCacheHits.Add(1)
+		pc.hit()
 		return le.ls, nil
 	}
 	shard := &pc.shards[fingerprintHash(fp)&(cacheShards-1)]
@@ -237,8 +236,7 @@ func (pc *planCache) get(sc Scenario, cand Candidate, worker int) (*ladderSet, e
 	ls, ok := shard.sets[fp]
 	shard.mu.RUnlock()
 	if ok {
-		pc.hits.Add(1)
-		globalCacheHits.Add(1)
+		pc.hit()
 		slot.Store(&lastLookup{fp: fp, ls: ls})
 		return ls, nil
 	}
@@ -246,10 +244,7 @@ func (pc *planCache) get(sc Scenario, cand Candidate, worker int) (*ladderSet, e
 	// already built is adopted into this search's shard without a build.
 	if w := pc.warm; w != nil {
 		if ls, ok := w.lookup(fp); ok {
-			pc.misses.Add(1)
-			globalCacheMisses.Add(1)
-			pc.warmHits.Add(1)
-			pc.publish(shard, slot, fp, ls)
+			pc.publish(shard, slot, fp, ls, true)
 			return ls, nil
 		}
 	}
@@ -260,6 +255,9 @@ func (pc *planCache) get(sc Scenario, cand Candidate, worker int) (*ladderSet, e
 	if pc.warm != nil {
 		flight = &pc.warm.flight
 	}
+	// The builder publishes its set into this search's shard before
+	// admitting it to the warm tier, so a worker of this search that
+	// finds the set warm counts a hit, not the build's miss.
 	built, shared, err := flight.do(fp, func() (*ladderSet, error) {
 		var sp *obs.Span
 		if sc.Trace != nil {
@@ -272,35 +270,61 @@ func (pc *planCache) get(sc Scenario, cand Candidate, worker int) (*ladderSet, e
 		if sp != nil {
 			sp.End(obs.A("err", err != nil))
 		}
-		if err == nil && pc.warm != nil {
-			pc.warm.admit(fp, ls)
+		if err == nil {
+			pc.publish(shard, slot, fp, ls, false)
+			if pc.warm != nil {
+				pc.warm.admit(fp, ls)
+			}
 		}
 		return ls, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Waiters count as misses too — every lookup is a hit or a miss —
-	// with the saved duplicate builds tallied on the warm tier.
-	pc.misses.Add(1)
-	globalCacheMisses.Add(1)
-	if shared && pc.warm != nil {
-		pc.warm.dedup.Add(1)
+	if shared {
+		// A waiter on another caller's build: tally the saved duplicate
+		// build on the warm tier and publish the shared set here.
+		if pc.warm != nil {
+			pc.warm.dedup.Add(1)
+		}
+		pc.publish(shard, slot, fp, built, false)
 	}
-	pc.publish(shard, slot, fp, built)
 	return built, nil
 }
 
 // publish installs a set in the shard map (first writer wins — callers
 // racing here always carry the identical single-flight result) and the
-// caller's fast-path slot.
-func (pc *planCache) publish(shard *planShard, slot *atomic.Pointer[lastLookup], fp fingerprint, ls *ladderSet) {
+// caller's fast-path slot, and counts the lookup. Every lookup is a hit
+// or a miss, and only the lookup that inserts a fingerprint counts a
+// miss (plus a warm hit when the warm tier served it): single-flight
+// waiters and late publishers count hits. Misses therefore equal the
+// search's distinct fingerprints whatever the worker count or timing.
+func (pc *planCache) publish(shard *planShard, slot *atomic.Pointer[lastLookup], fp fingerprint, ls *ladderSet, warm bool) {
 	shard.mu.Lock()
-	if _, ok := shard.sets[fp]; !ok {
+	_, present := shard.sets[fp]
+	if !present {
 		shard.sets[fp] = ls
 	}
 	shard.mu.Unlock()
+	if present {
+		pc.hit()
+	} else {
+		pc.miss(warm)
+	}
 	slot.Store(&lastLookup{fp: fp, ls: ls})
+}
+
+func (pc *planCache) hit() {
+	pc.hits.Add(1)
+	globalCacheHits.Add(1)
+}
+
+func (pc *planCache) miss(warm bool) {
+	pc.misses.Add(1)
+	globalCacheMisses.Add(1)
+	if warm {
+		pc.warmHits.Add(1)
+	}
 }
 
 // subsKey identifies a candidate's energy genes — the only inputs the

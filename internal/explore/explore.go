@@ -892,10 +892,13 @@ type Outcome struct {
 	// bit-identical for any worker count at the same seed.
 	Workers int
 	// CacheHits / CacheMisses count the evaluator plan-cache outcomes
-	// across the run; WarmHits is the subset of misses served by the
-	// process-lifetime warm tier (Scenario.Warm) instead of a fresh
-	// ladder build. With no tier attached, misses = distinct hardware
-	// fingerprints built and WarmHits is zero.
+	// across the run. CacheMisses is the number of distinct hardware
+	// fingerprints the run looked up: only the lookup that first installs
+	// a fingerprint misses, and single-flight waiters count as hits, so
+	// both counts are the same for any worker count. WarmHits is the
+	// subset of misses served by the process-lifetime warm tier
+	// (Scenario.Warm) instead of a fresh ladder build; it is zero with
+	// no tier attached.
 	CacheHits   int64
 	CacheMisses int64
 	WarmHits    int64
@@ -1120,8 +1123,9 @@ type ParetoOutcome struct {
 	Evals    int
 	Workers  int
 	// CacheHits / CacheMisses / WarmHits mirror the Outcome fields of
-	// the same names: plan-cache traffic for the run, with WarmHits the
-	// misses served by the process-lifetime warm tier.
+	// the same names: plan-cache traffic for the run (misses = distinct
+	// fingerprints), with WarmHits the misses served by the
+	// process-lifetime warm tier.
 	CacheHits    int64
 	CacheMisses  int64
 	WarmHits     int64

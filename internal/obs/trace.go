@@ -13,6 +13,12 @@ import (
 // passes no capacity.
 const DefaultTraceEvents = 16384
 
+// initialTraceEvents is the ring's first allocation. The ring doubles
+// from here as events arrive, clamped at the tracer's bound, so a short
+// job (an MSP search records a few hundred events) holds a few KiB
+// instead of a full DefaultTraceEvents ring.
+const initialTraceEvents = 64
+
 // droppedTotal counts ring-overwritten events across every tracer in
 // the process — the exportable form of the per-ring Dropped counters,
 // so /metrics can expose one obs_trace_dropped_total without walking
@@ -62,19 +68,22 @@ type Trace struct {
 
 	mu      sync.Mutex
 	tc      TraceContext
-	ring    []event
-	n       int // total events recorded; write position is n % cap(ring)
+	ring    []event // grows on demand up to limit events
+	limit   int
+	n       int // total events recorded; once full, write position is n % limit
 	dropped int64
 }
 
 // NewTrace returns a tracer whose ring buffer holds up to capacity
-// events (<= 0 selects DefaultTraceEvents). Once full, new events
-// overwrite the oldest and the dropped count grows.
+// events (<= 0 selects DefaultTraceEvents). The capacity is a bound,
+// not an allocation: the ring starts small and doubles as events
+// arrive. Once it holds capacity events, new events overwrite the
+// oldest and the dropped count grows.
 func NewTrace(capacity int) *Trace {
 	if capacity <= 0 {
 		capacity = DefaultTraceEvents
 	}
-	return &Trace{anchor: time.Now(), ring: make([]event, 0, capacity)}
+	return &Trace{anchor: time.Now(), limit: capacity}
 }
 
 // now returns microseconds since the tracer's creation.
@@ -112,14 +121,20 @@ func (t *Trace) Context() TraceContext {
 	return t.tc
 }
 
-// record appends one event to the ring.
+// record appends one event to the ring, doubling the backing array
+// (clamped at the bound) until the ring is full.
 func (t *Trace) record(ev event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.ring) < cap(t.ring) {
+	if len(t.ring) < t.limit {
+		if len(t.ring) == cap(t.ring) {
+			grown := make([]event, len(t.ring), min(max(2*cap(t.ring), initialTraceEvents), t.limit))
+			copy(grown, t.ring)
+			t.ring = grown
+		}
 		t.ring = append(t.ring, ev)
 	} else {
-		t.ring[t.n%cap(t.ring)] = ev
+		t.ring[t.n%t.limit] = ev
 		t.dropped++
 		droppedTotal.Add(1)
 	}
@@ -278,8 +293,8 @@ func (t *Trace) snapshot() ([]event, int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	evs := make([]event, 0, len(t.ring))
-	if t.n > cap(t.ring) { // ring wrapped: oldest is at n % cap
-		head := t.n % cap(t.ring)
+	if t.n > t.limit { // ring wrapped: oldest is at n % limit
+		head := t.n % t.limit
 		evs = append(evs, t.ring[head:]...)
 		evs = append(evs, t.ring[:head]...)
 	} else {

@@ -144,6 +144,63 @@ func TestRingBounds(t *testing.T) {
 	}
 }
 
+// TestRingGrowsToBound checks the on-demand ring at counts before, at
+// and after the wrap point, for a power-of-two and a non-power-of-two
+// bound: the backing array never exceeds the bound, Len and Dropped
+// follow the event count, and both the portable snapshot and the JSON
+// export list the newest events oldest first.
+func TestRingGrowsToBound(t *testing.T) {
+	for _, bound := range []int{16384, 1000} {
+		for _, count := range []int{0, 1, initialTraceEvents, initialTraceEvents + 1,
+			bound - 1, bound, bound + 1, 2*bound + 7} {
+			tr := NewTrace(bound)
+			if cap(tr.ring) != 0 {
+				t.Fatalf("bound %d: NewTrace allocated %d slots up front", bound, cap(tr.ring))
+			}
+			droppedBefore := TraceDroppedTotal()
+			for i := 0; i < count; i++ {
+				tr.InstantAt("t", "e", float64(i))
+			}
+			first := max(count-bound, 0)
+			if got, want := tr.Len(), count-first; got != want {
+				t.Errorf("bound %d, %d events: Len = %d, want %d", bound, count, got, want)
+			}
+			if got := tr.Dropped(); got != int64(first) {
+				t.Errorf("bound %d, %d events: Dropped = %d, want %d", bound, count, got, first)
+			}
+			if got := TraceDroppedTotal() - droppedBefore; got != int64(first) {
+				t.Errorf("bound %d, %d events: TraceDroppedTotal grew by %d, want %d", bound, count, got, first)
+			}
+			if c := cap(tr.ring); c > bound || (count <= bound/2 && c >= bound) {
+				t.Errorf("bound %d, %d events: ring capacity %d", bound, count, c)
+			}
+			evs := tr.Events()
+			for k, ev := range evs {
+				if want := float64(first+k) * 1e6; ev.TS != want {
+					t.Fatalf("bound %d, %d events: Events()[%d].TS = %g, want %g", bound, count, k, ev.TS, want)
+				}
+			}
+			out := decode(t, tr)
+			k := 0
+			for _, ev := range out.TraceEvents {
+				if ev.Ph == "M" {
+					continue
+				}
+				if want := float64(first+k) * 1e6; ev.TS != want {
+					t.Fatalf("bound %d, %d events: export event %d at ts=%g, want %g", bound, count, k, ev.TS, want)
+				}
+				k++
+			}
+			if k != count-first {
+				t.Errorf("bound %d, %d events: export holds %d events, want %d", bound, count, k, count-first)
+			}
+			if d, _ := out.Metadata["dropped_events"].(float64); int(d) != first {
+				t.Errorf("bound %d, %d events: metadata dropped_events = %v, want %d", bound, count, out.Metadata["dropped_events"], first)
+			}
+		}
+	}
+}
+
 // TestTraceConcurrency spawns concurrent span writers (run under -race).
 func TestTraceConcurrency(t *testing.T) {
 	tr := NewTrace(1024)

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"runtime"
 	"runtime/pprof"
 	"sync"
@@ -49,7 +51,38 @@ var (
 type ProgressInfo struct {
 	Gen   int     `json:"gen"`
 	Evals int     `json:"evals"`
-	Best  float64 `json:"best"`
+	Best  float64 `json:"best"` // null on the wire while no design is feasible
+}
+
+// MarshalJSON renders a non-finite best objective (+Inf until the
+// search finds a feasible design) as null, which encoding/json cannot
+// otherwise express; decoding null leaves Best zero.
+func (p ProgressInfo) MarshalJSON() ([]byte, error) {
+	var best *float64
+	if !math.IsInf(p.Best, 0) && !math.IsNaN(p.Best) {
+		best = &p.Best
+	}
+	return json.Marshal(struct {
+		Gen   int      `json:"gen"`
+		Evals int      `json:"evals"`
+		Best  *float64 `json:"best"`
+	}{p.Gen, p.Evals, best})
+}
+
+// simEvent is the wire form of one step-simulator event on a job's SSE
+// stream. The fields are declared in alphabetical key order, so the
+// bytes match the map encoding earlier clients parsed.
+type simEvent struct {
+	Kind     string  `json:"kind"`
+	Layer    int     `json:"layer"`
+	Tile     int     `json:"tile"`
+	TimeS    float64 `json:"time_s"`
+	VoltageV float64 `json:"voltage_v"`
+}
+
+func newSimEvent(e sim.Event) simEvent {
+	return simEvent{Kind: e.Kind.String(), Layer: e.Layer, Tile: e.Tile,
+		TimeS: float64(e.Time), VoltageV: float64(e.Voltage)}
 }
 
 // SimSummary is the wire form of a step-simulator run.
@@ -425,8 +458,7 @@ func (m *manager) adopt(recovered []*recoveredJob) {
 			if r.state == JobDone && r.result != nil {
 				m.cache.add(js.key, cacheEntry{result: *r.result, verify: r.verify, audit: r.audit})
 			}
-			j.stream.publish("done", j.status())
-			j.stream.close()
+			j.stream.finish("done", j.status())
 			close(j.done)
 			continue
 		}
@@ -469,8 +501,7 @@ func (m *manager) submit(js jobSpec) (j *job, reused bool, err error) {
 		j.rec = entry.rec
 		j.audit = entry.audit
 		j.started, j.finished = now, now
-		j.stream.publish("done", j.status())
-		j.stream.close()
+		j.stream.finish("done", j.status())
 		close(j.done)
 		return j, true, nil
 	}
@@ -760,13 +791,7 @@ func (m *manager) run(j *job) {
 				return
 			}
 			published++
-			j.stream.publish("sim", map[string]any{
-				"kind":      e.Kind.String(),
-				"time_s":    float64(e.Time),
-				"tile":      e.Tile,
-				"layer":     e.Layer,
-				"voltage_v": float64(e.Voltage),
-			})
+			j.stream.publish("sim", newSimEvent(e))
 		}, rec)
 		adapter.Close()
 		m.addPhase(j, "sim", simStart, time.Now())
@@ -850,8 +875,7 @@ func (m *manager) finish(j *job, state JobState, err error) {
 		attrs = append(attrs, slog.String("error", err.Error()))
 	}
 	m.opts.Logger.LogAttrs(context.Background(), slog.LevelInfo, "job finished", attrs...)
-	j.stream.publish("done", j.status())
-	j.stream.close()
+	j.stream.finish("done", j.status())
 	close(j.done)
 }
 

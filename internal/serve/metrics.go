@@ -190,23 +190,29 @@ func (m *metrics) quantiles() (p50, p95 float64, count int64) {
 }
 
 // statusWriter records the response code while preserving the Flusher
-// the SSE handler depends on.
+// the SSE handler depends on. onCode runs once, as soon as the code is
+// known and before any of the body is written, so a client that has
+// read a response always finds it counted.
 type statusWriter struct {
 	http.ResponseWriter
-	code int
+	code   int
+	onCode func(code int)
+}
+
+func (w *statusWriter) setCode(code int) {
+	if w.code == 0 {
+		w.code = code
+		w.onCode(code)
+	}
 }
 
 func (w *statusWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
+	w.setCode(code)
 	w.ResponseWriter.WriteHeader(code)
 }
 
 func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
+	w.setCode(http.StatusOK)
 	return w.ResponseWriter.Write(b)
 }
 
@@ -242,13 +248,12 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		}
 		r = r.WithContext(context.WithValue(r.Context(), traceCtxKey{}, tc))
 		w.Header().Set("traceparent", tc.Traceparent())
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &statusWriter{ResponseWriter: w, onCode: func(code int) {
+			s.mgr.met.httpRequests.With(r.Method, strconv.Itoa(code)).Inc()
+		}}
 		next.ServeHTTP(sw, r)
-		if sw.code == 0 {
-			sw.code = http.StatusOK
-		}
+		sw.setCode(http.StatusOK) // a handler that wrote nothing answered 200
 		elapsed := time.Since(start)
-		s.mgr.met.httpRequests.With(r.Method, strconv.Itoa(sw.code)).Inc()
 		s.mgr.met.httpLatency.Observe(elapsed.Seconds())
 		s.opts.Logger.LogAttrs(r.Context(), requestLogLevel(r.URL.Path), "http request",
 			slog.String("method", r.Method),

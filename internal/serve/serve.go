@@ -90,7 +90,8 @@ type Options struct {
 	MaxJobs int
 	// TraceEvents bounds each job's span ring buffer (<= 0 selects
 	// obs.DefaultTraceEvents); older spans are overwritten and counted
-	// as dropped.
+	// as dropped. It is a bound, not an allocation: a job's ring grows
+	// with the events it records.
 	TraceEvents int
 	// Logger receives structured operational logs (nil discards them).
 	Logger *slog.Logger

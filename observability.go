@@ -28,7 +28,8 @@ const Version = obs.Version
 type Trace = obs.Trace
 
 // NewTrace returns a tracer holding up to capacity events (<= 0 selects
-// the default of 16384). Once full, new events overwrite the oldest.
+// the default of 16384). The ring grows as events arrive; once it holds
+// capacity events, new events overwrite the oldest.
 func NewTrace(capacity int) *Trace { return obs.NewTrace(capacity) }
 
 // SimTraceAdapter maps step-simulator events onto trace slices: powered

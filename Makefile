@@ -30,7 +30,7 @@ race-cache:
 	$(GO) test -race -run 'Cache|Concurrent' ./internal/explore/ ./internal/serve/
 
 # Race-check the parallel search path end-to-end: the worker dispatcher,
-# the Workers=1-vs-N determinism stress tests and the shard-cache hammer.
+# the Workers=1-vs-N determinism stress tests and the plan-cache hammer.
 race-explore:
 	$(GO) test -race -run 'Parallel|Workers|Hammer|Shard|Dispatch|Concurrent' \
 		./internal/search/ ./internal/explore/ ./internal/serve/
@@ -94,6 +94,7 @@ examples:
 
 fuzz:
 	$(GO) test ./internal/dnn/ -fuzz FuzzParseJSON -fuzztime 30s
+	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzOpen -fuzztime 30s
 
 # End-to-end chrysalisd check: boot on a random port, run a design job
 # to completion, assert the resubmission is a cache hit.

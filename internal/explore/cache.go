@@ -118,22 +118,10 @@ func EvalCacheCounters() (hits, misses int64) {
 	return globalCacheHits.Load(), globalCacheMisses.Load()
 }
 
-// cacheShards stripes the fingerprint map. 16 shards keeps the worst
-// case (every worker missing a different fingerprint at once) lock-free
-// for up to 16 hardware workers while costing only 16 small maps; the
-// common case never touches the stripe lock at all thanks to the
-// per-worker last-lookup slots.
-const cacheShards = 16
-
-// lastSlots is how many per-worker last-lookup slots a cache carries.
-// Workers index slots by worker&`(lastSlots-1)`, so up to 16 workers
-// get private slots and larger pools share gracefully.
-const lastSlots = 16
-
-// fingerprintHash mixes every fingerprint field into a shard index with
-// an FNV-1a over the fixed-width fields plus the workload name. It is
-// allocation-free and deliberately avoids hash/maphash so the module's
-// floor stays at go1.22.
+// fingerprintHash mixes every fingerprint field into a warm-tier shard
+// index with an FNV-1a over the fixed-width fields plus the workload
+// name. It is allocation-free and deliberately avoids hash/maphash so
+// the module's floor stays at go1.22.
 func fingerprintHash(fp fingerprint) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -161,44 +149,20 @@ func fingerprintHash(fp fingerprint) uint64 {
 	return h
 }
 
-// planShard is one mutex stripe of the fingerprint map.
-type planShard struct {
-	mu   sync.RWMutex
-	sets map[fingerprint]*ladderSet
-	// Pad each shard to its own cache line so neighboring stripe locks
-	// don't false-share under concurrent misses.
-	_ [24]byte
-}
-
-// lastSlot is one per-worker last-lookup pointer, padded to a cache
-// line: a single shared atomic.Pointer fast path ping-pongs its line
-// between every core on the hit path, which is exactly the steady state
-// on the MSP platform (one fingerprint, every lookup a hit).
-type lastSlot struct {
-	p atomic.Pointer[lastLookup]
-	_ [56]byte
-}
-
 // planCache memoizes ladder sets per hardware fingerprint for one
 // Evaluator. It is safe for concurrent use (search.GAConfig.Workers >
-// 1): lookups take a striped read lock keyed by the fingerprint hash,
-// and concurrent misses on the same fingerprint coalesce through a
-// per-fingerprint single-flight group, so every set is built exactly
-// once no matter how many workers miss it at once.
+// 1): lookups take the map's read lock, and concurrent misses on the
+// same fingerprint coalesce through a per-fingerprint single-flight
+// group, so every set is built exactly once no matter how many workers
+// miss it at once.
 type planCache struct {
-	shards [cacheShards]planShard
-	// last short-circuits the common case of consecutive lookups with
-	// the same fingerprint (on MSP the fingerprint never changes), one
-	// slot per worker so the steady-state hit touches no shared line.
-	last     [lastSlots]lastSlot
+	mu       sync.RWMutex
+	sets     map[fingerprint]*ladderSet
 	hits     atomic.Int64
 	misses   atomic.Int64
 	warmHits atomic.Int64
-	// builds counts ladder sets this cache actually constructed (not
-	// served warm, not shared from another worker's in-flight build).
-	builds atomic.Int64
 	// warm, when non-nil, is the process-lifetime tier consulted between
-	// a shard miss and a build; sets built here are published back to it.
+	// a map miss and a build; sets built here are published back to it.
 	warm *WarmCache
 	// flight coalesces this search's concurrent builds when no warm tier
 	// is attached; with one attached, the tier's group is used instead so
@@ -206,45 +170,26 @@ type planCache struct {
 	flight flightGroup
 }
 
-// lastLookup is an immutable (fingerprint, ladder set) pair published
-// atomically after each successful lookup.
-type lastLookup struct {
-	fp fingerprint
-	ls *ladderSet
-}
-
-func newPlanCache() *planCache {
-	pc := &planCache{}
-	for i := range pc.shards {
-		pc.shards[i].sets = make(map[fingerprint]*ladderSet)
-	}
-	return pc
+func newPlanCache(warm *WarmCache) *planCache {
+	return &planCache{sets: make(map[fingerprint]*ladderSet), warm: warm}
 }
 
 // get returns the ladder set for the candidate's fingerprint, building
-// and caching it on a miss. worker selects the caller's last-lookup
-// slot; serial callers pass 0.
-func (pc *planCache) get(sc Scenario, cand Candidate, worker int) (*ladderSet, error) {
+// and caching it on a miss.
+func (pc *planCache) get(sc Scenario, cand Candidate) (*ladderSet, error) {
 	fp := fingerprintOf(sc, cand)
-	slot := &pc.last[worker&(lastSlots-1)].p
-	if le := slot.Load(); le != nil && le.fp == fp {
-		pc.hit()
-		return le.ls, nil
-	}
-	shard := &pc.shards[fingerprintHash(fp)&(cacheShards-1)]
-	shard.mu.RLock()
-	ls, ok := shard.sets[fp]
-	shard.mu.RUnlock()
+	pc.mu.RLock()
+	ls, ok := pc.sets[fp]
+	pc.mu.RUnlock()
 	if ok {
 		pc.hit()
-		slot.Store(&lastLookup{fp: fp, ls: ls})
 		return ls, nil
 	}
 	// Per-search miss. Consult the warm tier first: a set another search
-	// already built is adopted into this search's shard without a build.
+	// already built is adopted into this search's map without a build.
 	if w := pc.warm; w != nil {
 		if ls, ok := w.lookup(fp); ok {
-			pc.publish(shard, slot, fp, ls, true)
+			pc.publish(fp, ls, true)
 			return ls, nil
 		}
 	}
@@ -255,7 +200,7 @@ func (pc *planCache) get(sc Scenario, cand Candidate, worker int) (*ladderSet, e
 	if pc.warm != nil {
 		flight = &pc.warm.flight
 	}
-	// The builder publishes its set into this search's shard before
+	// The builder publishes its set into this search's map before
 	// admitting it to the warm tier, so a worker of this search that
 	// finds the set warm counts a hit, not the build's miss.
 	built, shared, err := flight.do(fp, func() (*ladderSet, error) {
@@ -265,13 +210,12 @@ func (pc *planCache) get(sc Scenario, cand Candidate, worker int) (*ladderSet, e
 				obs.A("platform", sc.Platform.String()), obs.A("arch", fp.arch.String()),
 				obs.A("npe", fp.npe), obs.A("layers", fp.layers))
 		}
-		pc.builds.Add(1)
 		ls, err := buildLadderSet(sc, cand)
 		if sp != nil {
 			sp.End(obs.A("err", err != nil))
 		}
 		if err == nil {
-			pc.publish(shard, slot, fp, ls, false)
+			pc.publish(fp, ls, false)
 			if pc.warm != nil {
 				pc.warm.admit(fp, ls)
 			}
@@ -287,31 +231,30 @@ func (pc *planCache) get(sc Scenario, cand Candidate, worker int) (*ladderSet, e
 		if pc.warm != nil {
 			pc.warm.dedup.Add(1)
 		}
-		pc.publish(shard, slot, fp, built, false)
+		pc.publish(fp, built, false)
 	}
 	return built, nil
 }
 
-// publish installs a set in the shard map (first writer wins — callers
-// racing here always carry the identical single-flight result) and the
-// caller's fast-path slot, and counts the lookup. Every lookup is a hit
-// or a miss, and only the lookup that inserts a fingerprint counts a
-// miss (plus a warm hit when the warm tier served it): single-flight
-// waiters and late publishers count hits. Misses therefore equal the
-// search's distinct fingerprints whatever the worker count or timing.
-func (pc *planCache) publish(shard *planShard, slot *atomic.Pointer[lastLookup], fp fingerprint, ls *ladderSet, warm bool) {
-	shard.mu.Lock()
-	_, present := shard.sets[fp]
+// publish installs a set in the map (first writer wins — callers racing
+// here always carry the identical single-flight result) and counts the
+// lookup. Every lookup is a hit or a miss, and only the lookup that
+// inserts a fingerprint counts a miss (plus a warm hit when the warm
+// tier served it): single-flight waiters and late publishers count
+// hits. Misses therefore equal the search's distinct fingerprints
+// whatever the worker count or timing.
+func (pc *planCache) publish(fp fingerprint, ls *ladderSet, warm bool) {
+	pc.mu.Lock()
+	_, present := pc.sets[fp]
 	if !present {
-		shard.sets[fp] = ls
+		pc.sets[fp] = ls
 	}
-	shard.mu.Unlock()
+	pc.mu.Unlock()
 	if present {
 		pc.hit()
 	} else {
 		pc.miss(warm)
 	}
-	slot.Store(&lastLookup{fp: fp, ls: ls})
 }
 
 func (pc *planCache) hit() {
@@ -334,56 +277,29 @@ type subsKey struct {
 	cap   units.Capacitance
 }
 
-// subsKeyHash mixes the two energy genes into a shard index (FNV-1a
-// over the float bit patterns, like fingerprintHash).
-func subsKeyHash(k subsKey) uint64 {
-	const prime64 = 1099511628211
-	h := uint64(14695981039346656037)
-	for _, v := range [2]uint64{math.Float64bits(float64(k.panel)), math.Float64bits(float64(k.cap))} {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
-	return h
-}
-
-// subsShard is one mutex stripe of the energy-gene map.
-type subsShard struct {
-	mu sync.RWMutex
-	m  map[subsKey][]*energy.Subsystem
-	_  [24]byte
-}
-
 // subsystemCache memoizes the per-environment energy subsystems keyed
-// on the candidate's energy genes, striped across mutex shards like
-// planCache (the outer GA revisits gene values constantly — elites,
-// crossover copies — from every worker at once). The evaluation path
-// only issues the subsystem's read-only closed-form queries
-// (CycleBudget, sim.Analytic), so one instance safely serves concurrent
-// evaluations.
+// on the candidate's energy genes (the outer GA revisits gene values
+// constantly — elites, crossover copies — from every worker at once).
+// The evaluation path only issues the subsystem's read-only closed-form
+// queries (CycleBudget, sim.Analytic), so one instance safely serves
+// concurrent evaluations.
 type subsystemCache struct {
-	envs   []solar.Environment
-	shards [cacheShards]subsShard
+	envs []solar.Environment
+	mu   sync.RWMutex
+	m    map[subsKey][]*energy.Subsystem
 }
 
 func newSubsystemCache(envs []solar.Environment) *subsystemCache {
-	c := &subsystemCache{envs: envs}
-	for i := range c.shards {
-		c.shards[i].m = make(map[subsKey][]*energy.Subsystem)
-	}
-	return c
+	return &subsystemCache{envs: envs, m: make(map[subsKey][]*energy.Subsystem)}
 }
 
-// get returns the candidate's subsystems, building them on a miss. Like
-// planCache, racing misses may build twice; the loser is discarded.
+// get returns the candidate's subsystems, building them on a miss.
+// Racing misses may build twice; the loser is discarded.
 func (c *subsystemCache) get(cand Candidate) ([]*energy.Subsystem, error) {
 	k := subsKey{panel: cand.PanelArea, cap: cand.Cap}
-	shard := &c.shards[subsKeyHash(k)&(cacheShards-1)]
-	shard.mu.RLock()
-	v, ok := shard.m[k]
-	shard.mu.RUnlock()
+	c.mu.RLock()
+	v, ok := c.m[k]
+	c.mu.RUnlock()
 	if ok {
 		return v, nil
 	}
@@ -391,12 +307,12 @@ func (c *subsystemCache) get(cand Candidate) ([]*energy.Subsystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	shard.mu.Lock()
-	if raced, ok := shard.m[k]; ok {
+	c.mu.Lock()
+	if raced, ok := c.m[k]; ok {
 		built = raced
 	} else {
-		shard.m[k] = built
+		c.m[k] = built
 	}
-	shard.mu.Unlock()
+	c.mu.Unlock()
 	return built, nil
 }

@@ -2,13 +2,96 @@ package explore
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
 
 	"chrysalis/internal/accel"
+	"chrysalis/internal/dataflow"
 	"chrysalis/internal/dnn"
+	"chrysalis/internal/intermittent"
+	"chrysalis/internal/sim"
+	"chrysalis/internal/units"
 )
+
+// evaluateReference is the uncached evaluation the memoized engine must
+// reproduce. It builds fresh energy subsystems, scans each (dataflow,
+// partition) mapping space per call with early exit at the first
+// budget-feasible tile count (intermittent.MinFeasibleTiles), keeps
+// each layer's cheapest plan (first wins on ties, in dataflow-then-
+// partition order) and runs the analytic evaluator under every
+// environment. It shares no cache, ladder or arena with Evaluator.
+func evaluateReference(sc Scenario, cand Candidate) (Evaluation, error) {
+	sc = sc.withDefaults()
+	if err := sc.Validate(); err != nil {
+		return Evaluation{}, err
+	}
+	if err := (&Evaluator{sc: sc}).checkCandidate(cand); err != nil {
+		return Evaluation{}, err
+	}
+	subsystems, err := buildSubsystems(sc.Envs, cand)
+	if err != nil {
+		return Evaluation{}, err
+	}
+	budget := cycleBudget(subsystems)
+	dfs := dataflowChoices(sc)
+	hws := make([]dataflow.HW, len(dfs))
+	for i, df := range dfs {
+		if hws[i], err = platformHW(sc, cand, df); err != nil {
+			return Evaluation{}, err
+		}
+	}
+	w := sc.Workload
+	plans := make([]intermittent.Plan, len(w.Layers))
+	for li, l := range w.Layers {
+		bestE := units.Energy(math.Inf(1))
+		found := false
+		for ci, df := range dfs {
+			for _, part := range []dataflow.Partition{dataflow.ByChannel, dataflow.BySpatial} {
+				p, err := intermittent.MinFeasibleTiles(l, w.ElemBytes, df, part, hws[ci], sc.Rexc, budget)
+				if err == nil && p.Energy < bestE {
+					bestE, plans[li], found = p.Energy, p, true
+				}
+			}
+		}
+		if !found {
+			return Evaluation{}, fmt.Errorf("explore: layer %s infeasible on %s: %w",
+				l.Name, cand, intermittent.ErrNoFeasibleTile)
+		}
+	}
+
+	ev := Evaluation{Candidate: cand, Mappings: make([]LayerChoice, len(plans)), Feasible: true}
+	for i, p := range plans {
+		ev.Mappings[i] = LayerChoice{Layer: p.Layer.Name, Mapping: p.Cost.Mapping, Plan: p}
+	}
+	tot := intermittent.Sum(plans)
+	var latSum float64
+	for i, env := range sc.Envs {
+		r := sim.AnalyticTotals(subsystems[i], tot)
+		ev.PerEnv = append(ev.PerEnv, EnvResult{
+			Env:        env.Name(),
+			Latency:    r.E2ELatency,
+			Energy:     r.Breakdown.Delivered(),
+			CkptEnergy: r.Breakdown.Ckpt,
+			Efficiency: r.SystemEfficiency,
+			Feasible:   r.Completed,
+		})
+		if !r.Completed {
+			ev.Feasible = false
+			continue
+		}
+		latSum += float64(r.E2ELatency)
+	}
+	if ev.Feasible {
+		ev.AvgLatency = units.Seconds(latSum / float64(len(sc.Envs)))
+		ev.LatSP = float64(ev.AvgLatency) * float64(cand.PanelArea)
+	} else {
+		ev.AvgLatency = units.Seconds(math.Inf(1))
+		ev.LatSP = math.Inf(1)
+	}
+	return ev, nil
+}
 
 // mspCandidates spans the energy genes the outer search varies on the
 // MSP platform. The inference-side fingerprint is identical for all of
@@ -35,9 +118,8 @@ func accelCandidates() []Candidate {
 
 // TestCachedMatchesUncached is the end-to-end differential for the
 // memoized evaluation engine: a caching Evaluator must produce
-// Evaluations deep-equal to the uncached one-shot EvaluateCandidate
-// path for both platforms, across repeated evaluations (cache hits
-// included).
+// Evaluations deep-equal to the uncached evaluateReference scan for
+// both platforms, across repeated evaluations (cache hits included).
 func TestCachedMatchesUncached(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -58,7 +140,7 @@ func TestCachedMatchesUncached(t *testing.T) {
 			// Two rounds: the second is served entirely from the cache.
 			for round := 0; round < 2; round++ {
 				for _, cand := range tc.cands {
-					want, wantErr := EvaluateCandidate(tc.sc, cand)
+					want, wantErr := evaluateReference(tc.sc, cand)
 					got, gotErr := e.Evaluate(cand)
 					if (wantErr == nil) != (gotErr == nil) {
 						t.Fatalf("round %d %s: uncached err %v, cached err %v", round, cand, wantErr, gotErr)
@@ -95,7 +177,7 @@ func TestEvaluatorCacheConcurrent(t *testing.T) {
 
 	refs := make([]Evaluation, len(cands))
 	for i, cand := range cands {
-		ev, err := EvaluateCandidate(sc, cand)
+		ev, err := evaluateReference(sc, cand)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,5 +221,30 @@ func TestEvaluatorCacheConcurrent(t *testing.T) {
 	}
 	if misses < int64(len(cands)) {
 		t.Errorf("misses = %d, want >= %d distinct fingerprints", misses, len(cands))
+	}
+}
+
+// TestScoreAllocationFree pins the steady-state score path — the one
+// the outer GA runs per candidate — at zero allocations once the
+// candidate's ladder set and energy subsystems are cached.
+func TestScoreAllocationFree(t *testing.T) {
+	cases := []struct {
+		sc   Scenario
+		cand Candidate
+	}{
+		{Scenario{Workload: dnn.HAR(), Platform: MSP, Objective: LatSP}, mspCandidates()[1]},
+		{Scenario{Workload: dnn.HAR(), Platform: Accel, Objective: LatSP}, accelCandidates()[0]},
+	}
+	for _, tc := range cases {
+		e, err := NewEvaluator(tc.sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.score(tc.cand); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() { e.score(tc.cand) }); n != 0 {
+			t.Errorf("%s: %v allocations per cached score, want 0", tc.sc.Platform, n)
+		}
 	}
 }

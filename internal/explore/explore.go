@@ -178,10 +178,6 @@ type Scenario struct {
 	// Arch, when non-nil, pins the accelerator architecture instead of
 	// searching it (the per-architecture columns of Figure 10).
 	Arch *accel.Arch
-	// Mapper selects the SW-level optimizer realization (greedy
-	// analytical planner by default, or the CHRYSALIS-GAMMA genetic
-	// mapper).
-	Mapper Mapper
 	// Trace, when non-nil, records evaluation spans (score vs. full
 	// evaluate, ladder builds, per-span cache hit/miss attributes) for
 	// Perfetto export. Nil disables tracing at zero cost; it never
@@ -359,16 +355,12 @@ func cycleBudget(subsystems []*energy.Subsystem) intermittent.BudgetFunc {
 // so the whole search builds the ladders exactly once.
 //
 // An Evaluator is safe for concurrent use by multiple goroutines
-// (search.GAConfig.Workers > 1). Cached and uncached evaluations are
-// bit-identical.
+// (search.GAConfig.Workers > 1).
 type Evaluator struct {
 	sc Scenario
-	// cache memoizes ladder sets across evaluations; nil selects the
-	// uncached per-call scan (one-shot evaluations, where eager ladder
-	// construction could never be amortized).
+	// cache memoizes ladder sets across evaluations.
 	cache *planCache
-	// subs memoizes energy subsystems per (panel, cap) gene pair; nil
-	// builds them fresh per evaluation.
+	// subs memoizes energy subsystems per (panel, cap) gene pair.
 	subs *subsystemCache
 }
 
@@ -379,52 +371,22 @@ func NewEvaluator(sc Scenario) (*Evaluator, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	pc := newPlanCache()
-	pc.warm = sc.Warm
-	return &Evaluator{sc: sc, cache: pc, subs: newSubsystemCache(sc.Envs)}, nil
-}
-
-// newDirectEvaluator builds an evaluator without a plan cache: each
-// evaluation scans the mapping space directly with early exit, which is
-// cheaper when the scenario is evaluated exactly once.
-func newDirectEvaluator(sc Scenario) (*Evaluator, error) {
-	sc = sc.withDefaults()
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	return &Evaluator{sc: sc}, nil
+	return &Evaluator{sc: sc, cache: newPlanCache(sc.Warm), subs: newSubsystemCache(sc.Envs)}, nil
 }
 
 // Scenario returns the default-filled scenario the evaluator serves.
 func (e *Evaluator) Scenario() Scenario { return e.sc }
 
 // CacheStats returns this evaluator's plan-cache hit and miss counts.
-// Uncached (direct) evaluators report zeros.
 func (e *Evaluator) CacheStats() (hits, misses int64) {
-	if e.cache == nil {
-		return 0, 0
-	}
 	return e.cache.hits.Load(), e.cache.misses.Load()
 }
 
 // WarmHits returns how many of this evaluator's plan-cache misses were
 // served by the attached warm tier instead of a fresh build. Zero when
-// no tier is attached (or for direct evaluators).
+// no tier is attached.
 func (e *Evaluator) WarmHits() int64 {
-	if e.cache == nil {
-		return 0
-	}
 	return e.cache.warmHits.Load()
-}
-
-// ladderSetFor returns the candidate's ladder set, memoized when the
-// evaluator carries a cache and built fresh otherwise. worker selects
-// the cache's per-worker fast-path slot; serial callers pass 0.
-func (e *Evaluator) ladderSetFor(worker int, cand Candidate) (*ladderSet, error) {
-	if e.cache != nil {
-		return e.cache.get(e.sc, cand, worker)
-	}
-	return buildLadderSet(e.sc, cand)
 }
 
 // evalArena is the per-evaluation scratch every scoring pass needs: the
@@ -456,27 +418,19 @@ func takeArena(n int) *evalArena {
 	return a
 }
 
-// subsystemsFor returns the candidate's per-environment energy
-// subsystems, memoized on the energy genes when the evaluator caches.
-func (e *Evaluator) subsystemsFor(cand Candidate) ([]*energy.Subsystem, error) {
-	if e.subs != nil {
-		return e.subs.get(cand)
-	}
-	return buildSubsystems(e.sc.Envs, cand)
-}
-
 // innerSearch is the SW-level optimizer: for a fixed candidate it
 // chooses, per layer, the (dataflow, partition, N_tile) minimizing the
 // layer's total energy, subject to every tile fitting the tightest
-// per-cycle budget across environments (Eq. 8). The per-layer plan
-// ladders come from the fingerprint cache; only the budget scan runs
-// per candidate, over slim rungs, and only each layer's winner is
-// materialized as a full Plan — into the caller's arena, which the
-// returned pointers alias.
-func (e *Evaluator) innerSearch(worker int, cand Candidate, budget intermittent.BudgetFunc, a *evalArena) ([]*intermittent.Plan, error) {
-	ls, err := e.cache.get(e.sc, cand, worker)
+// per-cycle budget across environments (Eq. 8). The per-layer costs are
+// independent, so this greedy per-layer choice is exact for the energy
+// objective. The per-layer plan ladders come from the fingerprint
+// cache; only the budget scan runs per candidate, over slim rungs, and
+// only each layer's winner is materialized as a full Plan — into the
+// caller's arena, whose plans then alias the winners.
+func (e *Evaluator) innerSearch(cand Candidate, budget intermittent.BudgetFunc, a *evalArena) error {
+	ls, err := e.cache.get(e.sc, cand)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	w := e.sc.Workload
 	for li := range w.Layers {
@@ -496,69 +450,12 @@ func (e *Evaluator) innerSearch(worker int, cand Candidate, budget intermittent.
 			}
 		}
 		if bestIdx < 0 {
-			return nil, fmt.Errorf("explore: layer %s infeasible on %s: %w",
+			return fmt.Errorf("explore: layer %s infeasible on %s: %w",
 				w.Layers[li].Name, cand, intermittent.ErrNoFeasibleTile)
 		}
 		bestLd.PlanInto(bestIdx, &a.backing[li])
 	}
-	return a.plans, nil
-}
-
-// innerSearchDirect is the uncached form of innerSearch: it scans each
-// (dataflow, partition) mapping space per call with early exit at the
-// first budget-feasible tile count, instead of materializing full
-// ladders that a single evaluation could never amortize. It explores
-// the space in the same order with the same tie-breaks as the cached
-// path, so the two produce bit-identical choices.
-func (e *Evaluator) innerSearchDirect(cand Candidate, budget intermittent.BudgetFunc, a *evalArena) ([]*intermittent.Plan, error) {
-	sc := e.sc
-	dfs := dataflowChoices(sc)
-	hws := make([]dataflow.HW, len(dfs))
-	for i, df := range dfs {
-		hw, err := platformHW(sc, cand, df)
-		if err != nil {
-			return nil, err
-		}
-		hws[i] = hw
-	}
-	w := sc.Workload
-	for li, l := range w.Layers {
-		bestE := units.Energy(math.Inf(1))
-		foundAny := false
-		for ci, df := range dfs {
-			for _, part := range []dataflow.Partition{dataflow.ByChannel, dataflow.BySpatial} {
-				p, err := intermittent.MinFeasibleTiles(l, w.ElemBytes, df, part, hws[ci], sc.Rexc, budget)
-				if err != nil {
-					continue
-				}
-				if p.Energy < bestE {
-					bestE = p.Energy
-					a.backing[li] = p
-					foundAny = true
-				}
-			}
-		}
-		if !foundAny {
-			return nil, fmt.Errorf("explore: layer %s infeasible on %s: %w",
-				l.Name, cand, intermittent.ErrNoFeasibleTile)
-		}
-	}
-	return a.plans, nil
-}
-
-// searchPlans dispatches to the configured inner mapping search and
-// returns the chosen per-layer plans by pointer into the caller's
-// arena. The pointers are only valid until the arena is returned to
-// the pool.
-func (e *Evaluator) searchPlans(worker int, cand Candidate, budget intermittent.BudgetFunc, a *evalArena) ([]*intermittent.Plan, error) {
-	switch {
-	case e.sc.Mapper == MapperGA:
-		return e.innerSearchGA(worker, cand, budget, a)
-	case e.cache != nil:
-		return e.innerSearch(worker, cand, budget, a)
-	default:
-		return e.innerSearchDirect(cand, budget, a)
-	}
+	return nil
 }
 
 // quickScore is the allocation-lean evaluation the search loops consume:
@@ -571,55 +468,63 @@ type quickScore struct {
 }
 
 // score computes a candidate's objective ingredients without
-// materializing a full Evaluation. It runs the same inner search and
-// the same analytic model as Evaluate, so the numbers are bit-identical
-// to the ones Evaluate reports; only the discarded per-candidate
-// bookkeeping (layer choices, per-env reports) is skipped. When the
-// scenario carries a tracer, each score records a span annotated with
-// feasibility and the plan-cache hits/misses it incurred; with tracing
-// off the fast path is untouched.
+// materializing a full Evaluation. It runs the same scoring core as
+// Evaluate, so the numbers are bit-identical to the ones Evaluate
+// reports; only the per-candidate bookkeeping (layer choices, per-env
+// reports) is skipped. When the scenario carries a tracer, each score
+// records a span annotated with feasibility and the plan-cache
+// hits/misses it incurred; with tracing off the fast path is untouched.
 func (e *Evaluator) score(cand Candidate) (quickScore, error) {
-	return e.scoreWorker(0, cand)
-}
-
-// scoreWorker is score with an explicit worker slot, the form the
-// parallel search loops call so each worker hits its own cache
-// fast-path slot.
-func (e *Evaluator) scoreWorker(worker int, cand Candidate) (quickScore, error) {
 	if tr := e.sc.Trace; tr != nil {
 		h0, m0 := e.CacheStats()
 		sp := tr.Start("explore", "score")
-		s, err := e.scoreInner(worker, cand)
+		s, err := e.scoreInner(cand)
 		h1, m1 := e.CacheStats()
 		sp.End(obs.A("feasible", s.feasible), obs.A("cache_hits", h1-h0),
 			obs.A("cache_misses", m1-m0), obs.A("err", err != nil))
 		return s, err
 	}
-	return e.scoreInner(worker, cand)
+	return e.scoreInner(cand)
 }
 
 // scoreInner is the uninstrumented scoring path.
-func (e *Evaluator) scoreInner(worker int, cand Candidate) (quickScore, error) {
+func (e *Evaluator) scoreInner(cand Candidate) (quickScore, error) {
+	a := takeArena(len(e.sc.Workload.Layers))
+	defer arenaPool.Put(a)
+	return e.run(cand, a, nil)
+}
+
+// run is the scoring core score and Evaluate share: candidate check,
+// energy subsystems, cycle budget, inner search, then sim.AnalyticTotals
+// per environment. The winning plans are left in a; perEnv, when
+// non-nil, receives one EnvResult per environment.
+func (e *Evaluator) run(cand Candidate, a *evalArena, perEnv []EnvResult) (quickScore, error) {
 	if err := e.checkCandidate(cand); err != nil {
 		return quickScore{}, err
 	}
-	subsystems, err := e.subsystemsFor(cand)
+	subsystems, err := e.subs.get(cand)
 	if err != nil {
 		return quickScore{}, err
 	}
-	budget := cycleBudget(subsystems)
-	a := takeArena(len(e.sc.Workload.Layers))
-	defer arenaPool.Put(a)
-	plans, err := e.searchPlans(worker, cand, budget, a)
-	if err != nil {
+	if err := e.innerSearch(cand, cycleBudget(subsystems), a); err != nil {
 		return quickScore{}, err
 	}
-	tot := intermittent.SumRefs(plans)
+	tot := intermittent.SumRefs(a.plans)
 
 	var latSum float64
 	feasible := true
-	for i := range e.sc.Envs {
+	for i, env := range e.sc.Envs {
 		r := sim.AnalyticTotals(subsystems[i], tot)
+		if perEnv != nil {
+			perEnv[i] = EnvResult{
+				Env:        env.Name(),
+				Latency:    r.E2ELatency,
+				Energy:     r.Breakdown.Delivered(),
+				CkptEnergy: r.Breakdown.Ckpt,
+				Efficiency: r.SystemEfficiency,
+				Feasible:   r.Completed,
+			}
+		}
 		if !r.Completed {
 			feasible = false
 			continue
@@ -667,69 +572,30 @@ func (e *Evaluator) Evaluate(cand Candidate) (Evaluation, error) {
 	return e.evaluateInner(cand)
 }
 
-// evaluateInner is the uninstrumented evaluation path.
+// evaluateInner is the uninstrumented evaluation path: the scoring core
+// plus the materialized per-layer mappings and per-environment reports.
 func (e *Evaluator) evaluateInner(cand Candidate) (Evaluation, error) {
-	sc := e.sc
-	if err := e.checkCandidate(cand); err != nil {
+	a := takeArena(len(e.sc.Workload.Layers))
+	defer arenaPool.Put(a)
+	perEnv := make([]EnvResult, len(e.sc.Envs))
+	s, err := e.run(cand, a, perEnv)
+	if err != nil {
 		return Evaluation{}, err
 	}
-
-	ev := Evaluation{Candidate: cand}
-	subsystems, err := e.subsystemsFor(cand)
-	if err != nil {
-		return ev, err
-	}
-	budget := cycleBudget(subsystems)
-
-	a := takeArena(len(sc.Workload.Layers))
-	defer arenaPool.Put(a)
-	plans, err := e.searchPlans(0, cand, budget, a)
-	if err != nil {
-		return ev, err
-	}
-	ev.Mappings = make([]LayerChoice, len(plans))
-	for i, p := range plans {
+	ev := Evaluation{Candidate: cand, Mappings: make([]LayerChoice, len(a.plans)), PerEnv: perEnv,
+		AvgLatency: s.avgLatency, LatSP: s.latSP, Feasible: s.feasible}
+	for i, p := range a.plans {
 		ev.Mappings[i] = LayerChoice{Layer: p.Layer.Name, Mapping: p.Cost.Mapping, Plan: *p}
-	}
-	tot := intermittent.SumRefs(plans)
-
-	var latSum float64
-	feasible := true
-	for i, env := range sc.Envs {
-		r := sim.AnalyticTotals(subsystems[i], tot)
-		er := EnvResult{
-			Env:        env.Name(),
-			Latency:    r.E2ELatency,
-			Energy:     r.Breakdown.Delivered(),
-			CkptEnergy: r.Breakdown.Ckpt,
-			Efficiency: r.SystemEfficiency,
-			Feasible:   r.Completed,
-		}
-		ev.PerEnv = append(ev.PerEnv, er)
-		if !r.Completed {
-			feasible = false
-			continue
-		}
-		latSum += float64(r.E2ELatency)
-	}
-	ev.Feasible = feasible
-	if feasible {
-		ev.AvgLatency = units.Seconds(latSum / float64(len(sc.Envs)))
-		ev.LatSP = float64(ev.AvgLatency) * float64(cand.PanelArea)
-	} else {
-		ev.AvgLatency = units.Seconds(math.Inf(1))
-		ev.LatSP = math.Inf(1)
 	}
 	return ev, nil
 }
 
 // EvaluateCandidate runs the inner mapping search and the analytic
 // evaluator under every environment. It is the one-shot form of
-// Evaluator.Evaluate and uses the early-exit direct scan; callers
-// evaluating many candidates of one scenario should create an Evaluator
-// to share its plan cache. Both paths produce bit-identical results.
+// Evaluator.Evaluate; callers evaluating many candidates of one
+// scenario should create an Evaluator to share its plan cache.
 func EvaluateCandidate(sc Scenario, cand Candidate) (Evaluation, error) {
-	e, err := newDirectEvaluator(sc)
+	e, err := NewEvaluator(sc)
 	if err != nil {
 		return Evaluation{}, err
 	}
@@ -790,12 +656,6 @@ func objectiveOf(sc Scenario, panel units.AreaCM2, s quickScore) float64 {
 	default: // LatSP
 		return s.latSP
 	}
-}
-
-// objectiveValue scores an evaluation (lower is better, +Inf infeasible).
-func objectiveValue(sc Scenario, ev Evaluation) float64 {
-	return objectiveOf(sc, ev.Candidate.PanelArea,
-		quickScore{avgLatency: ev.AvgLatency, latSP: ev.LatSP, feasible: ev.Feasible})
 }
 
 // genomeSpec describes which dimensions the baseline searches.
@@ -1006,7 +866,7 @@ func Explore(sc Scenario, b Baseline, cfg search.GAConfig) (Outcome, error) {
 		Dim: g.dim(),
 		EvalCtx: func(ec search.EvalContext, genome []float64) float64 {
 			cand := decode(sc, g, genome)
-			s, err := e.scoreWorker(ec.Worker, cand)
+			s, err := e.score(cand)
 			if err != nil {
 				return math.Inf(1)
 			}
@@ -1077,7 +937,7 @@ func ParetoScanWorkers(sc Scenario, n int, seed int64, workers int) (points, fro
 		Dim: g.dim(),
 		EvalCtx: func(ec search.EvalContext, genome []float64) float64 {
 			cand := decode(sc, g, genome)
-			s, evalErr := e.scoreWorker(ec.Worker, cand)
+			s, evalErr := e.score(cand)
 			if evalErr != nil || !s.feasible {
 				return math.Inf(1)
 			}
@@ -1093,7 +953,7 @@ func ParetoScanWorkers(sc Scenario, n int, seed int64, workers int) (points, fro
 			return s.latSP
 		},
 	}
-	if _, err := search.RunRandomWorkers(problem, n, seed, false, workers); err != nil {
+	if _, err := search.RunRandomWorkers(problem, n, seed, workers); err != nil {
 		return nil, nil, err
 	}
 	// Restore sample order: parallel workers append in completion order,
@@ -1152,7 +1012,7 @@ func ParetoSearch(sc Scenario, cfg search.GAConfig) (ParetoOutcome, error) {
 		Dim: g.dim(),
 		EvalCtx: func(ec search.EvalContext, genome []float64) (float64, float64) {
 			cand := decode(sc, g, genome)
-			s, evalErr := e.scoreWorker(ec.Worker, cand)
+			s, evalErr := e.score(cand)
 			if evalErr != nil || !s.feasible {
 				return math.Inf(1), math.Inf(1)
 			}

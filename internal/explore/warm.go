@@ -97,10 +97,10 @@ func (g *flightGroup) do(fp fingerprint, build func() (*ladderSet, error)) (ls *
 	return c.ls, false, c.err
 }
 
-// warmShards stripes the warm tier like the per-search cache: 16 locks
-// keep concurrent searches missing on different fingerprints out of
-// each other's way, and the byte bound is enforced per stripe
-// (maxBytes/warmShards each) so eviction never takes a global lock.
+// warmShards stripes the warm tier: 16 locks keep concurrent searches
+// missing on different fingerprints out of each other's way, and the
+// byte bound is enforced per stripe (maxBytes/warmShards each) so
+// eviction never takes a global lock.
 const warmShards = 16
 
 // warmEntry is one resident ladder set with its eviction bookkeeping.

@@ -143,7 +143,7 @@ func TestWarmCacheByteBoundAdversarial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls, err := probe.cache.get(probe.sc, cand(0), 0)
+	ls, err := probe.cache.get(probe.sc, cand(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestWarmCacheByteBoundAdversarial(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.cache.warm = warm
-		if _, err := e.cache.get(e.sc, cand(i%48), 0); err != nil {
+		if _, err := e.cache.get(e.sc, cand(i%48)); err != nil {
 			t.Fatal(err)
 		}
 		st := warm.Stats()
@@ -199,7 +199,7 @@ func TestWarmCacheModelInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	prime.cache.warm = warm
-	if _, err := prime.cache.get(prime.sc, cand, 0); err != nil {
+	if _, err := prime.cache.get(prime.sc, cand); err != nil {
 		t.Fatal(err)
 	}
 	if st := warm.Stats(); st.Entries != 1 {
@@ -215,7 +215,7 @@ func TestWarmCacheModelInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.cache.warm = warm
-	if _, err := e.cache.get(e.sc, cand, 0); err != nil {
+	if _, err := e.cache.get(e.sc, cand); err != nil {
 		t.Fatal(err)
 	}
 	st := warm.Stats()
@@ -232,7 +232,7 @@ func TestWarmCacheModelInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	e2.cache.warm = warm
-	if _, err := e2.cache.get(e2.sc, cand, 0); err != nil {
+	if _, err := e2.cache.get(e2.sc, cand); err != nil {
 		t.Fatal(err)
 	}
 	if e2.WarmHits() != 1 {
@@ -311,7 +311,7 @@ func TestWarmCacheOversizeNeverRetained(t *testing.T) {
 		Cap:       470e-6,
 		Accel:     &accel.Config{Arch: accel.TPU, NPE: 8, CacheBytes: units.Bytes(256)},
 	}
-	if _, err := e.cache.get(e.sc, cand, 0); err != nil {
+	if _, err := e.cache.get(e.sc, cand); err != nil {
 		t.Fatal(err)
 	}
 	if st := warm.Stats(); st.Entries != 0 || st.Bytes != 0 {

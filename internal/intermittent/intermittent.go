@@ -11,7 +11,6 @@ package intermittent
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"chrysalis/internal/dataflow"
@@ -210,7 +209,7 @@ func MinFeasibleTiles(l dnn.Layer, elemBytes int, df dataflow.Dataflow, part dat
 // whole mapping space of a deep workload used to pin hundreds of
 // ~400-byte plans per (layer, dataflow, partition) tuple, which
 // dominated the search's allocation profile; a Rung is 32 bytes, and
-// PlanAt rematerializes the one winning plan on demand, bit-identical
+// PlanInto rematerializes the one winning plan on demand, bit-identical
 // to the plan the build pass computed.
 type Rung struct {
 	// NTile is the requested tile count (a candidate divisor of the
@@ -234,7 +233,7 @@ type Rung struct {
 // budget-independent: Eq. 4–6 depend only on the layer, the mapping and
 // the inference-side hardware constants, never on the energy subsystem.
 // The cycle budget (panel area, capacitance, environment) only selects
-// WHICH rung is chosen, via MinFeasible — so one ladder serves every
+// WHICH rung is chosen, via MinFeasibleIndex — so one ladder serves every
 // energy-gene candidate the outer search proposes.
 type Ladder struct {
 	Layer     dnn.Layer
@@ -243,7 +242,7 @@ type Ladder struct {
 	Partition dataflow.Partition
 	Rexc      float64
 	// HW holds the cost constants the rungs were evaluated under, kept
-	// so PlanAt can re-run the cost model for a chosen rung.
+	// so PlanInto can re-run the cost model for a chosen rung.
 	HW    dataflow.HW
 	Rungs []Rung
 }
@@ -280,19 +279,12 @@ func BuildLadder(l dnn.Layer, elemBytes int, df dataflow.Dataflow, part dataflow
 	return ld, nil
 }
 
-// PlanAt rematerializes the full Plan of rung i by re-running the cost
-// model under the ladder's stored inputs. Because planFromCost is a
-// pure function of (layer, cost, hw, rexc), the result is bit-identical
-// to the plan the build pass evaluated for that rung.
-func (ld *Ladder) PlanAt(i int) Plan {
-	var p Plan
-	ld.PlanInto(i, &p)
-	return p
-}
-
-// PlanInto is PlanAt writing into caller-owned storage (a reusable
-// evaluation arena), so hot search loops materialize winning plans with
-// zero allocations.
+// PlanInto rematerializes the full Plan of rung i into caller-owned
+// storage (a reusable evaluation arena) by re-running the cost model
+// under the ladder's stored inputs, so hot search loops materialize
+// winning plans with zero allocations. Because planFromCost is a pure
+// function of (layer, cost, hw, rexc), the result is bit-identical to
+// the plan the build pass evaluated for that rung.
 func (ld *Ladder) PlanInto(i int, dst *Plan) {
 	m := dataflow.Mapping{Dataflow: ld.Dataflow, Partition: ld.Partition, NTile: ld.Rungs[i].NTile}
 	// The rung exists, so the same inputs evaluated feasibly at build
@@ -332,30 +324,6 @@ func (ld *Ladder) MinFeasibleIndex(budget BudgetFunc) (int, bool) {
 		if avail := budget(r.Power); avail > 0 && r.TileEnergy <= avail {
 			return i, true
 		}
-	}
-	return 0, false
-}
-
-// MinFeasible is the ladder-scan equivalent of MinFeasibleTiles: it
-// returns the plan of the smallest feasible tile count under the given
-// budget, bit-identical to what the per-call scan would compute.
-func (ld *Ladder) MinFeasible(budget BudgetFunc) (Plan, error) {
-	if budget == nil {
-		return Plan{}, errNilBudget
-	}
-	if i, ok := ld.MinFeasibleIndex(budget); ok {
-		return ld.PlanAt(i), nil
-	}
-	return Plan{}, noFeasibleTileError(ld.Layer.Name)
-}
-
-// ByNTile returns the index of the rung whose requested tile count is
-// n, using binary search over the ascending rungs. ok is false when
-// that count was VM-infeasible (and therefore excluded from the ladder).
-func (ld *Ladder) ByNTile(n int) (int, bool) {
-	i := sort.Search(len(ld.Rungs), func(i int) bool { return ld.Rungs[i].NTile >= n })
-	if i < len(ld.Rungs) && ld.Rungs[i].NTile == n {
-		return i, true
 	}
 	return 0, false
 }

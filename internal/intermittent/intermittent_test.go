@@ -222,11 +222,12 @@ func TestTileEnergyFitsBudgetProperty(t *testing.T) {
 
 // TestLadderMatchesPerCallScan is the differential check backing the
 // memoized evaluation engine: for every seed workload, dataflow,
-// partition and a spread of budgets, scanning a precomputed Ladder must
-// return exactly the plan (or exactly the error) the per-call
-// MinFeasibleTiles scan computes. Both paths share planFromCost and
-// iterate candidate tile counts in the same order, so the results are
-// bit-identical, not just approximately equal.
+// partition and a spread of budgets, the ladder scan the Explorer runs
+// (MinFeasibleIndex, then PlanInto for the chosen rung) must return
+// exactly the plan the per-call MinFeasibleTiles scan computes, and
+// find no rung exactly when that scan fails. Both paths share
+// planFromCost and iterate candidate tile counts in the same order, so
+// the results are bit-identical, not just approximately equal.
 func TestLadderMatchesPerCallScan(t *testing.T) {
 	hw := hwMSP()
 	budgets := []units.Energy{1e-9, 2e-5, 3e-4, 3e-3, 1}
@@ -241,17 +242,16 @@ func TestLadderMatchesPerCallScan(t *testing.T) {
 					}
 					for _, b := range budgets {
 						want, wantErr := MinFeasibleTiles(l, w.ElemBytes, df, part, hw, 0.05, FixedBudget(b))
-						got, gotErr := ld.MinFeasible(FixedBudget(b))
-						if (wantErr == nil) != (gotErr == nil) {
-							t.Fatalf("%s/%s/%s/%v budget %v: scan err %v, ladder err %v",
-								w.Name, l.Name, df, part, b, wantErr, gotErr)
+						i, ok := ld.MinFeasibleIndex(FixedBudget(b))
+						if (wantErr == nil) != ok {
+							t.Fatalf("%s/%s/%s/%v budget %v: scan err %v, ladder found rung %v",
+								w.Name, l.Name, df, part, b, wantErr, ok)
 						}
-						if wantErr != nil {
-							if wantErr.Error() != gotErr.Error() {
-								t.Fatalf("%s/%s: error text diverged: %q vs %q", w.Name, l.Name, wantErr, gotErr)
-							}
+						if !ok {
 							continue
 						}
+						var got Plan
+						ld.PlanInto(i, &got)
 						if !reflect.DeepEqual(want, got) {
 							t.Fatalf("%s/%s/%s/%v budget %v: ladder plan diverged from per-call scan:\n%+v\nvs\n%+v",
 								w.Name, l.Name, df, part, b, got, want)
@@ -266,8 +266,8 @@ func TestLadderMatchesPerCallScan(t *testing.T) {
 // TestLadderEntriesAscendingAndBudgetFree checks the Ladder invariants
 // the fingerprint cache relies on: rungs are sorted by ascending NTile,
 // the slim rung scalars are budget-independent (identical to a direct
-// PlanLayer evaluation of the same mapping), and PlanAt rematerializes
-// the full plan bit-identically.
+// PlanLayer evaluation of the same mapping), and PlanInto
+// rematerializes the full plan bit-identically.
 func TestLadderEntriesAscendingAndBudgetFree(t *testing.T) {
 	l := convLayer(t)
 	ld, err := BuildLadder(l, 2, dataflow.OS, dataflow.ByChannel, hwMSP(), 0.05)
@@ -286,33 +286,25 @@ func TestLadderEntriesAscendingAndBudgetFree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NTile=%d: %v", r.NTile, err)
 		}
-		if !reflect.DeepEqual(ld.PlanAt(i), p) {
-			t.Fatalf("NTile=%d: PlanAt differs from direct PlanLayer", r.NTile)
+		var got Plan
+		ld.PlanInto(i, &got)
+		if !reflect.DeepEqual(got, p) {
+			t.Fatalf("NTile=%d: PlanInto differs from direct PlanLayer", r.NTile)
 		}
 		if r.Power != p.TilePower() || r.TileEnergy != p.TileEnergy || r.Energy != p.Energy {
 			t.Fatalf("NTile=%d: rung scalars %+v differ from plan (power %v tile %v energy %v)",
 				r.NTile, r, p.TilePower(), p.TileEnergy, p.Energy)
 		}
-		idx, ok := ld.ByNTile(r.NTile)
-		if !ok || idx != i {
-			t.Fatalf("ByNTile(%d) = (%d, %v), want (%d, true)", r.NTile, idx, ok, i)
-		}
-	}
-	if _, ok := ld.ByNTile(-1); ok {
-		t.Fatal("ByNTile must miss on counts excluded from the ladder")
 	}
 }
 
-// TestLadderNilBudget checks the nil-budget error paths of the ladder
-// scan match the per-call scan's.
+// TestLadderNilBudget checks a nil budget finds no ladder rung and
+// fails the per-call scan.
 func TestLadderNilBudget(t *testing.T) {
 	l := convLayer(t)
 	ld, err := BuildLadder(l, 2, dataflow.OS, dataflow.ByChannel, hwMSP(), 0.05)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := ld.MinFeasible(nil); !errors.Is(err, errNilBudget) {
-		t.Fatalf("ladder nil budget: %v", err)
 	}
 	if _, ok := ld.MinFeasibleIndex(nil); ok {
 		t.Fatal("MinFeasibleIndex(nil) must report no rung")

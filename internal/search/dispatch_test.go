@@ -15,7 +15,7 @@ func TestForEachIndexCoversAllIndices(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 7, 64, 257} {
 		for _, workers := range []int{1, 2, 4, 8, 300} {
 			var visits sync.Map
-			forEachIndex(n, workers, nil, func(worker, i int) {
+			forEachIndex(n, workers, nil, func(i int) {
 				if c, loaded := visits.LoadOrStore(i, 1); loaded {
 					visits.Store(i, c.(int)+1)
 				}
@@ -39,21 +39,24 @@ func TestForEachIndexCoversAllIndices(t *testing.T) {
 	}
 }
 
-// TestForEachIndexWorkerSlots checks worker slot numbers stay below the
-// effective worker count, so per-worker state arrays can be sized to it.
+// TestForEachIndexWorkerSlots checks the dispatcher never runs more
+// evaluations at once than it has worker slots.
 func TestForEachIndexWorkerSlots(t *testing.T) {
 	const n, workers = 100, 4
-	var maxWorker atomic.Int64
-	forEachIndex(n, workers, nil, func(worker, i int) {
+	var running, peak atomic.Int64
+	forEachIndex(n, workers, nil, func(i int) {
+		cur := running.Add(1)
 		for {
-			cur := maxWorker.Load()
-			if int64(worker) <= cur || maxWorker.CompareAndSwap(cur, int64(worker)) {
-				return
+			p := peak.Load()
+			if cur <= p || peak.CompareAndSwap(p, cur) {
+				break
 			}
 		}
+		busyEval(i)
+		running.Add(-1)
 	})
-	if mw := maxWorker.Load(); mw >= workers {
-		t.Errorf("worker slot %d >= workers %d", mw, workers)
+	if p := peak.Load(); p > workers {
+		t.Errorf("%d evaluations ran at once, want <= %d workers", p, workers)
 	}
 }
 
@@ -93,7 +96,7 @@ func TestEvalContextIndexDeterministic(t *testing.T) {
 }
 
 // TestRunGAWorkersBitIdentical checks the whole GA Result — best, value,
-// history, visited set — is identical for serial and parallel runs.
+// history, quality — is identical for serial and parallel runs.
 func TestRunGAWorkersBitIdentical(t *testing.T) {
 	sphere := Problem{Dim: 3, Eval: func(g []float64) float64 {
 		s := 0.0
@@ -122,19 +125,30 @@ func TestRunGAWorkersBitIdentical(t *testing.T) {
 }
 
 // TestRunRandomWorkersBitIdentical checks the parallel random sampler
-// reproduces the serial trajectory (History order included).
+// reproduces the serial trajectory (History order included) and hands
+// every evaluation index the same genome and value.
 func TestRunRandomWorkersBitIdentical(t *testing.T) {
-	p := Problem{Dim: 2, Eval: func(g []float64) float64 { return math.Abs(g[0]-0.3) + math.Abs(g[1]-0.7) }}
-	serial, err := RunRandomWorkers(p, 200, 5, true, 1)
-	if err != nil {
-		t.Fatal(err)
+	const n = 200
+	run := func(workers int) (Result, []float64) {
+		values := make([]float64, n)
+		p := Problem{Dim: 2, EvalCtx: func(ec EvalContext, g []float64) float64 {
+			v := math.Abs(g[0]-0.3) + math.Abs(g[1]-0.7)
+			values[ec.Index] = v
+			return v
+		}}
+		res, err := RunRandomWorkers(p, n, 5, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, values
 	}
-	parallel, err := RunRandomWorkers(p, 200, 5, true, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, serialValues := run(1)
+	parallel, parallelValues := run(8)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Error("RunRandomWorkers results differ between 1 and 8 workers")
+	}
+	if !reflect.DeepEqual(serialValues, parallelValues) {
+		t.Error("per-index evaluations differ between 1 and 8 workers")
 	}
 }
 
@@ -163,10 +177,10 @@ func TestRunNSGA2WorkersBitIdentical(t *testing.T) {
 // channelDispatch is the dispatcher forEachIndex replaced: one
 // unbuffered channel send per index. Kept here as the benchmark
 // baseline so the win stays measured.
-func channelDispatch(n, workers int, fn func(worker, i int)) {
+func channelDispatch(n, workers int, fn func(i int)) {
 	if workers <= 1 || n < 2 {
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			fn(i)
 		}
 		return
 	}
@@ -175,14 +189,14 @@ func channelDispatch(n, workers int, fn func(worker, i int)) {
 	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			for i := range idx {
-				fn(worker, i)
+				fn(i)
 			}
-		}(w)
+		}()
 	}
 	for i := 0; i < n; i++ {
 		idx <- i
@@ -209,12 +223,12 @@ func BenchmarkBatchDispatch(b *testing.B) {
 	sink := make([]float64, n)
 	b.Run("chunked", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			forEachIndex(n, workers, nil, func(_, i int) { sink[i] = busyEval(i) })
+			forEachIndex(n, workers, nil, func(i int) { sink[i] = busyEval(i) })
 		}
 	})
 	b.Run("channel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			channelDispatch(n, workers, func(_, i int) { sink[i] = busyEval(i) })
+			channelDispatch(n, workers, func(i int) { sink[i] = busyEval(i) })
 		}
 	})
 }

@@ -1,8 +1,8 @@
 // Package search provides the black-box optimizers behind the
 // CHRYSALIS Explorer: a genetic algorithm (the paper implements its
 // explorer "based on the open-source library Optuna and a genetic
-// algorithm"), plus random and grid samplers used as ablation baselines,
-// and Pareto-front utilities for the Figure 6 analyses.
+// algorithm"), plus a random sampler used as an ablation baseline, and
+// Pareto-front utilities for the Figure 6 analyses.
 //
 // Optimizers work on genomes: vectors in [0,1]^dim that problem
 // definitions decode into typed parameters with the Map* helpers.
@@ -28,11 +28,10 @@ type Problem struct {
 	Dim  int
 	Eval func(genome []float64) float64
 	// EvalCtx, when non-nil, is used instead of Eval and additionally
-	// receives the evaluation's context: its global ordinal and the
-	// worker slot running it. Objectives that track per-worker state
-	// (cache fast paths) or need deterministic tie-breaking across
-	// parallel runs (lowest evaluation index wins) use it; everything
-	// else can keep the plain Eval form.
+	// receives the evaluation's context (its global ordinal). Objectives
+	// that need deterministic tie-breaking across parallel runs (lowest
+	// evaluation index wins) use it; everything else can keep the plain
+	// Eval form.
 	EvalCtx func(ec EvalContext, genome []float64) float64
 }
 
@@ -43,10 +42,6 @@ type EvalContext struct {
 	// generation stays sequential: evaluation i always sees the same
 	// genome.
 	Index int
-	// Worker is the slot of the worker goroutine performing the
-	// evaluation, in [0, workers). Serial runs always use slot 0. The
-	// genome→worker assignment is NOT deterministic — only Index is.
-	Worker int
 }
 
 // Validate checks the problem definition.
@@ -85,15 +80,6 @@ type Result struct {
 	// ended the run before the configured generation count; the stop
 	// generation is len(History).
 	StoppedEarly bool
-	// Visited holds every evaluated (genome, value) pair when the
-	// optimizer is asked to keep them (for Pareto analyses).
-	Visited []Sample
-}
-
-// Sample is one evaluated point.
-type Sample struct {
-	Genome []float64
-	Value  float64
 }
 
 // GAConfig parameterizes the genetic algorithm.
@@ -109,8 +95,6 @@ type GAConfig struct {
 	// Elite is how many best individuals survive unchanged.
 	Elite int
 	Seed  int64
-	// KeepVisited retains all evaluated samples in Result.Visited.
-	KeepVisited bool
 	// Workers evaluates candidates concurrently when > 1. The search
 	// trajectory is unchanged (candidate generation stays sequential and
 	// seeded); only objective evaluations run in parallel, so Eval must
@@ -229,15 +213,6 @@ func RunGA(p Problem, cfg GAConfig) (Result, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	var res Result
-	record := func(batch []individual) {
-		res.Evals += len(batch)
-		if cfg.KeepVisited {
-			for _, ind := range batch {
-				cp := append([]float64(nil), ind.genome...)
-				res.Visited = append(res.Visited, Sample{Genome: cp, Value: ind.value})
-			}
-		}
-	}
 	// costEst is the estimated serial cost of one evaluation, refreshed
 	// from each batch. A batch measured at width w took roughly
 	// elapsed·w worker-time for n evaluations; the estimate deliberately
@@ -278,7 +253,7 @@ func RunGA(p Problem, cfg GAConfig) (Result, error) {
 			}
 			costEst = per
 		}
-		record(batch)
+		res.Evals += len(batch)
 	}
 
 	var runSpan *obs.Span
@@ -364,8 +339,8 @@ func RunGA(p Problem, cfg GAConfig) (Result, error) {
 // EvalContext{Index: base+i} regardless of worker count.
 func evaluateBatch(p Problem, base int, batch []individual, workers int, labels context.Context) {
 	eval := p.evalFn()
-	forEachIndex(len(batch), workers, labels, func(worker, i int) {
-		batch[i].value = eval(EvalContext{Index: base + i, Worker: worker}, batch[i].genome)
+	forEachIndex(len(batch), workers, labels, func(i int) {
+		batch[i].value = eval(EvalContext{Index: base + i}, batch[i].genome)
 	})
 }
 
@@ -380,23 +355,23 @@ func dispatchChunk(n, workers int) int {
 	return chunk
 }
 
-// forEachIndex runs fn(worker, i) for every i in [0, n), distributed
+// forEachIndex runs fn(i) for every i in [0, n), distributed
 // across the given number of worker goroutines via chunked claims on a
 // shared atomic counter. The earlier implementation pushed every index
 // through an unbuffered channel, which cost two scheduler handoffs per
 // element and dominated cheap objectives; claiming chunks amortizes the
 // synchronization to a few atomic adds per worker (see
 // BenchmarkBatchDispatch). workers <= 1 (or n < 2) degenerates to a
-// plain serial loop on the caller's goroutine with worker slot 0.
+// plain serial loop on the caller's goroutine.
 //
 // labels, when non-nil, is a context carrying runtime/pprof labels;
 // each spawned worker adopts them so profiles attribute the work. The
 // serial path leaves the caller's goroutine labels untouched (the
 // caller already carries its own).
-func forEachIndex(n, workers int, labels context.Context, fn func(worker, i int)) {
+func forEachIndex(n, workers int, labels context.Context, fn func(i int)) {
 	if workers <= 1 || n < 2 {
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			fn(i)
 		}
 		return
 	}
@@ -406,9 +381,9 @@ func forEachIndex(n, workers int, labels context.Context, fn func(worker, i int)
 	chunk := dispatchChunk(n, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			if labels != nil {
 				pprof.SetGoroutineLabels(labels)
@@ -423,18 +398,18 @@ func forEachIndex(n, workers int, labels context.Context, fn func(worker, i int)
 					end = n
 				}
 				for i := start; i < end; i++ {
-					fn(worker, i)
+					fn(i)
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 }
 
 // RunRandom minimizes by uniform random sampling (the wo/search
 // ablation baseline).
-func RunRandom(p Problem, n int, seed int64, keepVisited bool) (Result, error) {
-	return RunRandomWorkers(p, n, seed, keepVisited, 1)
+func RunRandom(p Problem, n int, seed int64) (Result, error) {
+	return RunRandomWorkers(p, n, seed, 1)
 }
 
 // RunRandomWorkers is RunRandom with concurrent objective evaluation.
@@ -442,7 +417,7 @@ func RunRandom(p Problem, n int, seed int64, keepVisited bool) (Result, error) {
 // fold runs in sample order, so the result is bit-identical for any
 // worker count; only the objective calls run in parallel (Eval/EvalCtx
 // must be safe for concurrent use when workers > 1).
-func RunRandomWorkers(p Problem, n int, seed int64, keepVisited bool, workers int) (Result, error) {
+func RunRandomWorkers(p Problem, n int, seed int64, workers int) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -456,8 +431,8 @@ func RunRandomWorkers(p Problem, n int, seed int64, keepVisited bool, workers in
 	}
 	values := make([]float64, n)
 	eval := p.evalFn()
-	forEachIndex(n, workers, nil, func(worker, i int) {
-		values[i] = eval(EvalContext{Index: i, Worker: worker}, genomes[i])
+	forEachIndex(n, workers, nil, func(i int) {
+		values[i] = eval(EvalContext{Index: i}, genomes[i])
 	})
 
 	var res Result
@@ -465,64 +440,12 @@ func RunRandomWorkers(p Problem, n int, seed int64, keepVisited bool, workers in
 	for i := 0; i < n; i++ {
 		g, v := genomes[i], values[i]
 		res.Evals++
-		if keepVisited {
-			res.Visited = append(res.Visited, Sample{Genome: g, Value: v})
-		}
 		if v < res.BestValue {
 			res.BestValue = v
 			res.Best = append([]float64(nil), g...)
 		}
 		res.History = append(res.History, res.BestValue)
 	}
-	return res, nil
-}
-
-// RunGrid minimizes by exhaustive grid sampling with k points per
-// dimension. Practical only for low-dimensional spaces; used for
-// sampler-quality ablations.
-func RunGrid(p Problem, k int) (Result, error) {
-	if err := p.Validate(); err != nil {
-		return Result{}, err
-	}
-	if k < 2 {
-		return Result{}, fmt.Errorf("search: grid needs >= 2 points per dim, got %d", k)
-	}
-	total := 1
-	for i := 0; i < p.Dim; i++ {
-		total *= k
-		if total > 1_000_000 {
-			return Result{}, fmt.Errorf("search: grid of %d^%d points is too large", k, p.Dim)
-		}
-	}
-	var res Result
-	res.BestValue = math.Inf(1)
-	eval := p.evalFn()
-	g := make([]float64, p.Dim)
-	idx := make([]int, p.Dim)
-	for {
-		for d, i := range idx {
-			g[d] = float64(i) / float64(k-1)
-		}
-		v := eval(EvalContext{Index: res.Evals}, g)
-		res.Evals++
-		if v < res.BestValue {
-			res.BestValue = v
-			res.Best = append([]float64(nil), g...)
-		}
-		// Odometer increment.
-		d := 0
-		for ; d < p.Dim; d++ {
-			idx[d]++
-			if idx[d] < k {
-				break
-			}
-			idx[d] = 0
-		}
-		if d == p.Dim {
-			break
-		}
-	}
-	res.History = []float64{res.BestValue}
 	return res, nil
 }
 
